@@ -12,6 +12,24 @@ cargo build --release --offline
 echo "== test (offline) =="
 cargo test -q --workspace --offline
 
+echo "== seqlock stress (two busy-loops loading the CPUs) =="
+# The windowed-histogram seqlock must hold however the scheduler
+# preempts its readers: 20 runs of the reader/writer race while two
+# busy-loops compete for the cores.
+BUSY_PIDS=""
+trap 'kill $BUSY_PIDS 2>/dev/null' EXIT
+for _ in 1 2; do
+    (while :; do :; done) &
+    BUSY_PIDS="$BUSY_PIDS $!"
+done
+for _ in $(seq 1 20); do
+    cargo test -q --offline -p hmd-obs --lib -- --exact \
+        window::tests::concurrent_readers_never_observe_a_partially_reset_slot
+done
+kill $BUSY_PIDS
+BUSY_PIDS=""
+trap - EXIT
+
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

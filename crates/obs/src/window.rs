@@ -19,21 +19,27 @@
 //! writer is the serving hot loop; readers are HTTP scrape threads and
 //! the alert engine (whose fire edges drive incident capture and SLO
 //! recalibration — control flow, not just monitoring). Each slot is
-//! therefore a tiny seqlock: the stored epoch is `epoch << 1`, and the
-//! writer raises the low *in-reset* bit for the duration of a lazy slot
-//! reset. Readers (re)read the tag around the payload and retry while
-//! it is odd or changed, so no reader can ever attribute a stale value
-//! to a fresh epoch or consume a half-zeroed histogram. Retries are
-//! bounded by the reset being a handful of plain stores; the hot
-//! no-reset write path is unchanged (one relaxed load, two relaxed
-//! adds).
+//! therefore a tiny seqlock:
+//!
+//! - a counter slot's stored epoch is `epoch << 1`, and the writer
+//!   raises the low *in-reset* bit for the duration of a lazy slot
+//!   reset. Readers (re)read the tag around the value and retry while it
+//!   is odd or changed, so no reader attributes a stale value to a fresh
+//!   epoch. A single value needs no more than that.
+//! - a histogram slot is many words (64 buckets and a sum) that must
+//!   agree with each other, so it carries a write sequence that is odd
+//!   for the whole of every `record_at`, reset or not. Readers retry on
+//!   any write that overlaps their read, so a snapshot is consistent by
+//!   construction: `count` and `sum` always cover the same observations.
+//!
+//! Retries are bounded by a write being a handful of plain stores.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use hmd_telemetry::metrics::{bucket_index, HistogramSnapshot, BUCKETS};
 
-/// Low bit of a slot's epoch tag: raised while the writer zeroes the
-/// slot, so readers retry instead of consuming a partial reset.
+/// Low bit of a counter slot's epoch tag: raised while the writer zeroes
+/// the slot, so readers retry instead of consuming a partial reset.
 const IN_RESET: u64 = 1;
 
 /// Shape of a sliding window.
@@ -175,26 +181,29 @@ impl WindowedCounter {
 /// One ring slot of a [`WindowedHistogram`].
 #[derive(Debug)]
 struct HistSlot {
-    /// Seqlock tag: `epoch << 1`, low bit = [`IN_RESET`].
+    /// Write sequence: odd while the writer is inside `record_at`.
+    seq: AtomicU64,
+    /// The epoch the payload belongs to.
     epoch: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }
 
 impl HistSlot {
-    /// Seqlock read into `buckets`, returning the consistent
-    /// `(epoch, sum)` the buckets were captured under.
+    /// Seqlock read into `buckets`, returning the `(epoch, sum)` the
+    /// buckets were captured under: no write overlapped the read.
     fn read(&self, buckets: &mut [u64; BUCKETS]) -> (u64, u64) {
         loop {
-            let e1 = self.epoch.load(Ordering::Acquire);
-            if e1 & IN_RESET == 0 {
+            let s1 = self.seq.load(Ordering::Acquire);
+            if s1 & 1 == 0 {
+                let epoch = self.epoch.load(Ordering::Relaxed);
                 for (dst, b) in buckets.iter_mut().zip(&self.buckets) {
                     *dst = b.load(Ordering::Relaxed);
                 }
                 let sum = self.sum.load(Ordering::Relaxed);
                 fence(Ordering::Acquire);
-                if self.epoch.load(Ordering::Relaxed) == e1 {
-                    return (e1 >> 1, sum);
+                if self.seq.load(Ordering::Relaxed) == s1 {
+                    return (epoch, sum);
                 }
             }
             std::hint::spin_loop();
@@ -205,6 +214,7 @@ impl HistSlot {
 impl Default for HistSlot {
     fn default() -> Self {
         Self {
+            seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
@@ -239,19 +249,27 @@ impl WindowedHistogram {
     #[inline]
     pub fn record_at(&self, now_ns: u64, v: u64) {
         let epoch = self.cfg.epoch(now_ns);
-        let tag = epoch << 1;
         let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
-        if slot.epoch.load(Ordering::Relaxed) != tag {
-            slot.epoch.store(tag | IN_RESET, Ordering::Relaxed);
-            fence(Ordering::Release);
+        // single writer: the sequence is ours to bump; odd makes readers
+        // retry until the whole write has landed. The release fence
+        // orders the odd store before the payload stores and pairs with
+        // the reader's acquire fence (a reader that saw any of this
+        // write's payload re-reads a changed sequence); the final release
+        // store pairs with the reader's first acquire load.
+        let seq = slot.seq.load(Ordering::Relaxed);
+        slot.seq.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        if slot.epoch.load(Ordering::Relaxed) != epoch {
+            // lazy expiry of the slot's previous epoch
             for b in &slot.buckets {
                 b.store(0, Ordering::Relaxed);
             }
             slot.sum.store(0, Ordering::Relaxed);
-            slot.epoch.store(tag, Ordering::Release);
+            slot.epoch.store(epoch, Ordering::Relaxed);
         }
         slot.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         slot.sum.fetch_add(v, Ordering::Relaxed);
+        slot.seq.store(seq + 2, Ordering::Release);
     }
 
     /// Merges the live slots into a [`HistogramSnapshot`] as seen from

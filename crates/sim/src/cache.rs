@@ -1,6 +1,5 @@
 //! Set-associative cache models with true-LRU replacement.
 
-
 /// Outcome of one cache access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Access {
@@ -89,6 +88,15 @@ impl CacheConfig {
 
 /// One set-associative cache level with true-LRU replacement.
 ///
+/// Each set keeps its tags in recency order, most recent first. An
+/// access walks the set once, shifting each tag back one place until it
+/// meets its own tag (hit) or runs off the end (miss: the least recent
+/// tag falls off), and leaves the tag at the front. This is exact LRU:
+/// whether an access hits depends only on the set's contents, and the
+/// tag dropped on a miss is the least recently touched one (empty ways,
+/// which hold `u64::MAX`, sit at the tail and go first), so hit/miss
+/// sequences equal those of a stamp-per-way LRU.
+///
 /// # Example
 ///
 /// ```
@@ -101,12 +109,13 @@ impl CacheConfig {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: usize,
-    /// tags[set * ways + way]; `u64::MAX` marks an empty way.
+    /// `log2(line_size)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
+    /// tags[set * ways ..][..ways], most recently used first; `u64::MAX`
+    /// marks an empty way.
     tags: Vec<u64>,
-    /// Monotonic per-access stamp for LRU ordering.
-    stamps: Vec<u64>,
-    clock: u64,
     hits: u64,
     misses: u64,
 }
@@ -124,10 +133,9 @@ impl Cache {
         let sets = config.sets();
         Self {
             config,
-            sets,
+            line_shift: config.line_size.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             tags: vec![u64::MAX; sets * config.ways],
-            stamps: vec![0; sets * config.ways],
-            clock: 0,
             hits: 0,
             misses: 0,
         }
@@ -140,24 +148,21 @@ impl Cache {
     }
 
     /// Looks up `addr`, filling the line (with LRU eviction) on a miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        self.clock += 1;
-        let line = addr / self.config.line_size as u64;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
-        let base = set * self.config.ways;
-        let ways = &mut self.tags[base..base + self.config.ways];
-        if let Some(way) = ways.iter().position(|&t| t == tag) {
-            self.stamps[base + way] = self.clock;
-            self.hits += 1;
-            return Access::Hit;
+        let line = addr >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
+        let ways = self.config.ways;
+        let mut carried = tag;
+        for slot in &mut self.tags[set * ways..][..ways] {
+            let held = std::mem::replace(slot, carried);
+            if held == tag {
+                self.hits += 1;
+                return Access::Hit;
+            }
+            carried = held;
         }
-        // miss → evict LRU way
-        let lru = (0..self.config.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways > 0");
-        self.tags[base + lru] = tag;
-        self.stamps[base + lru] = self.clock;
         self.misses += 1;
         Access::Miss
     }
@@ -194,19 +199,14 @@ impl Cache {
     /// Invalidates every line (e.g. on container context switch).
     pub fn flush(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
     }
 }
 
-/// A fully-associative TLB with LRU replacement over 4 KiB pages.
+/// A fully-associative TLB with LRU replacement over 4 KiB pages: a
+/// one-set [`Cache`] whose lines are pages.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: usize,
-    pages: Vec<u64>,
-    stamps: Vec<u64>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
+    pages: Cache,
 }
 
 impl Tlb {
@@ -221,60 +221,46 @@ impl Tlb {
     #[must_use]
     pub fn new(entries: usize) -> Self {
         assert!(entries > 0, "TLB needs at least one entry");
+        let page = Self::PAGE_SIZE as usize;
         Self {
-            entries,
-            pages: vec![u64::MAX; entries],
-            stamps: vec![0; entries],
-            clock: 0,
-            hits: 0,
-            misses: 0,
+            pages: Cache::new(CacheConfig { capacity: entries * page, ways: entries, line_size: page }),
         }
     }
 
     /// Translates `addr`, filling the entry on a miss.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        self.clock += 1;
-        let page = addr / Self::PAGE_SIZE;
-        if let Some(i) = self.pages.iter().position(|&p| p == page) {
-            self.stamps[i] = self.clock;
-            self.hits += 1;
-            return Access::Hit;
-        }
-        let lru = (0..self.entries).min_by_key(|&i| self.stamps[i]).expect("entries > 0");
-        self.pages[lru] = page;
-        self.stamps[lru] = self.clock;
-        self.misses += 1;
-        Access::Miss
+        self.pages.access(addr)
     }
 
     /// Total hits.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.pages.hits()
     }
 
     /// Total misses.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.pages.misses()
     }
 
     /// Invalidates every entry.
     pub fn flush(&mut self) {
-        self.pages.fill(u64::MAX);
-        self.stamps.fill(0);
+        self.pages.flush();
     }
 
     /// Zeroes hit/miss statistics.
     pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        self.pages.reset_stats();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hmd_util::proptest_lite::collection;
+    use hmd_util::{prop_assert_eq, prop_tests};
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 64 B lines
@@ -378,5 +364,113 @@ mod tests {
         assert!(t.access(0).is_miss());
         t.reset_stats();
         assert_eq!(t.misses(), 0);
+    }
+
+    /// The stamp-per-way LRU these models replaced: a monotonic clock
+    /// stamps every touched way, a hit is a linear tag scan, and a miss
+    /// evicts the way with the smallest stamp (empty ways carry stamp 0,
+    /// the first of them going first). Kept as the reference the
+    /// recency-ordered sets must agree with, access for access.
+    struct StampLru {
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl StampLru {
+        fn new(sets: usize, ways: usize) -> Self {
+            let slots = sets * ways;
+            Self {
+                ways,
+                tags: vec![u64::MAX; slots],
+                stamps: vec![0; slots],
+                clock: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, set: usize, tag: u64) -> Access {
+            self.clock += 1;
+            let base = set * self.ways;
+            if let Some(way) = self.tags[base..base + self.ways].iter().position(|&t| t == tag) {
+                self.stamps[base + way] = self.clock;
+                self.hits += 1;
+                return Access::Hit;
+            }
+            let lru = (0..self.ways).min_by_key(|&w| self.stamps[base + w]).expect("ways > 0");
+            self.tags[base + lru] = tag;
+            self.stamps[base + lru] = self.clock;
+            self.misses += 1;
+            Access::Miss
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(u64::MAX);
+            self.stamps.fill(0);
+        }
+    }
+
+    /// One step of a reference-model run: flush about 1 step in 64,
+    /// otherwise access an address drawn from a pool a few times the
+    /// model's reach (so lines are reused, evicted and re-fetched),
+    /// optionally lifted into the high address bits.
+    type Step = (u64, u32, u64);
+
+    fn address(step: Step, reach: u64) -> Option<u64> {
+        let (raw, op, high) = step;
+        (op != 0).then(|| raw % (reach * 3) + (high << 40))
+    }
+
+    prop_tests! {
+        cases = 128;
+
+        /// `Cache` and the stamp LRU give the same hit/miss sequence and
+        /// counts over random valid geometries, address streams with
+        /// reuse, and interleaved flushes.
+        fn cache_matches_stamp_lru_reference(
+            line_log in 0u32..8,
+            ways in 1usize..24,
+            sets_log in 0u32..7,
+            steps in collection::vec((0u64..u64::MAX, 0u32..64, 0u64..4), 1..600),
+        ) {
+            let (line_size, sets) = (1usize << line_log, 1usize << sets_log);
+            let config = CacheConfig { capacity: line_size * ways * sets, ways, line_size };
+            let mut cache = Cache::new(config);
+            let mut reference = StampLru::new(sets, ways);
+            for (i, &step) in steps.iter().enumerate() {
+                let Some(addr) = address(step, config.capacity as u64) else {
+                    cache.flush();
+                    reference.flush();
+                    continue;
+                };
+                let line = addr / line_size as u64;
+                let want = reference.access((line % sets as u64) as usize, line / sets as u64);
+                prop_assert_eq!(cache.access(addr), want, "step {} of {:?}", i, config);
+            }
+            prop_assert_eq!((cache.hits(), cache.misses()), (reference.hits, reference.misses));
+        }
+
+        /// The same for the fully-associative `Tlb`.
+        fn tlb_matches_stamp_lru_reference(
+            entries in 1usize..40,
+            steps in collection::vec((0u64..u64::MAX, 0u32..64, 0u64..4), 1..600),
+        ) {
+            let mut tlb = Tlb::new(entries);
+            let mut reference = StampLru::new(1, entries);
+            for (i, &step) in steps.iter().enumerate() {
+                let Some(addr) = address(step, entries as u64 * Tlb::PAGE_SIZE) else {
+                    tlb.flush();
+                    reference.flush();
+                    continue;
+                };
+                let want = reference.access(0, addr / Tlb::PAGE_SIZE);
+                prop_assert_eq!(tlb.access(addr), want, "step {} with {} entries", i, entries);
+            }
+            prop_assert_eq!((tlb.hits(), tlb.misses()), (reference.hits, reference.misses));
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The simulated core: caches + branch predictor + TLBs + cycle model.
 
 use hmd_util::rng::prelude::*;
+use hmd_util::rng::UniformBelow;
 
 use crate::branch::Gshare;
 use crate::cache::{Cache, CacheConfig, Tlb};
@@ -159,17 +160,79 @@ impl RunningWorkload {
         &self.profile.phases[self.phase_idx]
     }
 
-    fn maybe_advance_phase(&mut self) {
-        if self.instr_in_phase >= self.phase_len {
-            self.phase_idx = self.profile.pick_phase(&mut self.rng);
-            self.instr_in_phase = 0;
-            // Phase lengths sit at a few sampling windows: each 10 ms
-            // sample sees mostly one phase with occasional transitions,
-            // matching how real program phases (100 ms – seconds) look at
-            // the simulator's scaled-down time base.
-            self.phase_len = self.rng.random_range(30_000..120_000);
-            self.stream_pos = self.rng.random_range(0..self.current_phase().mem.working_set);
+    /// Starts a new phase once the current one has run its length;
+    /// returns whether it did.
+    fn maybe_advance_phase(&mut self) -> bool {
+        if self.instr_in_phase < self.phase_len {
+            return false;
         }
+        self.phase_idx = self.profile.pick_phase(&mut self.rng);
+        self.instr_in_phase = 0;
+        // Phase lengths sit at a few sampling windows: each 10 ms
+        // sample sees mostly one phase with occasional transitions,
+        // matching how real program phases (100 ms – seconds) look at
+        // the simulator's scaled-down time base.
+        self.phase_len = self.rng.random_range(30_000..120_000);
+        self.stream_pos = self.rng.random_range(0..self.current_phase().mem.working_set);
+        true
+    }
+}
+
+/// Instructions in the hot loop the PC walks within.
+const LOOP_SIZE: u64 = 1024;
+
+/// What the instruction loop needs of the active phase, derived once
+/// when the phase starts rather than on every instruction: the scaled
+/// footprints and a [`UniformBelow`] (divisions done up front) for each
+/// bound the loop draws from.
+#[derive(Copy, Clone, Debug)]
+struct PhaseLoop {
+    ph: Phase,
+    /// Scaled data working set in bytes.
+    data_ws: u64,
+    /// Length of the hot loop's PC walk: `LOOP_SIZE`, capped by the
+    /// scaled code footprint.
+    loop_len: u64,
+    jump_prob: f64,
+    /// Jump targets within the scaled code footprint.
+    jump: UniformBelow,
+    /// Branch sites.
+    site: UniformBelow,
+    /// Offsets within the hot region of the data working set.
+    hot: UniformBelow,
+    /// Offsets within the whole data working set.
+    data: UniformBelow,
+}
+
+impl PhaseLoop {
+    fn new(ph: Phase, fscale: u64) -> Self {
+        let data_ws = (ph.mem.working_set / fscale).max(4096);
+        let code_ws = (ph.icache_footprint / fscale).max(1024);
+        let hot = ((data_ws as f64 * ph.mem.hot_fraction) as u64).max(64);
+        Self {
+            ph,
+            data_ws,
+            loop_len: LOOP_SIZE.min(code_ws),
+            // unpredictable control flow (low branch predictability,
+            // e.g. rootkit hook trampolines) jumps more
+            jump_prob: 0.002 + 0.06 * (1.0 - ph.branch.predictability),
+            jump: UniformBelow::new(code_ws),
+            site: UniformBelow::new(ph.branch.pc_diversity),
+            hot: UniformBelow::new(hot),
+            data: UniformBelow::new(data_ws),
+        }
+    }
+}
+
+/// `(pos + step) % m`, without the division when the sum is already in
+/// range (the common case: `pos < m` from the previous step).
+#[inline]
+fn wrap_add(pos: u64, step: u64, m: u64) -> u64 {
+    let next = pos + step;
+    if next < m {
+        next
+    } else {
+        next % m
     }
 }
 
@@ -243,24 +306,22 @@ impl Machine {
         let mut branch_miss = 0u64;
 
         let fscale = self.config.footprint_scale.max(1);
+        let mut phase = PhaseLoop::new(*workload.current_phase(), fscale);
         for i in 0..slice {
-            workload.maybe_advance_phase();
+            if workload.maybe_advance_phase() {
+                phase = PhaseLoop::new(*workload.current_phase(), fscale);
+            }
             workload.instr_in_phase += 1;
-            let ph = *workload.current_phase();
-            let data_ws = (ph.mem.working_set / fscale).max(4096);
-            let code_ws = (ph.icache_footprint / fscale).max(1024);
+            let ph = &phase.ph;
 
             // ---- instruction fetch side ----
             // PC walk with loop locality: execution cycles inside a small
             // hot loop and occasionally jumps to another function in the
-            // footprint. Unpredictable control flow (low branch
-            // predictability, e.g. rootkit hook trampolines) jumps more.
-            const LOOP_SIZE: u64 = 1024;
-            let jump_prob = 0.002 + 0.06 * (1.0 - ph.branch.predictability);
-            if workload.rng.random_bool(jump_prob) {
-                workload.loop_base = workload.rng.random_range(0..code_ws);
+            // footprint.
+            if workload.rng.random_bool(phase.jump_prob) {
+                workload.loop_base = phase.jump.sample(&mut workload.rng);
             }
-            workload.pc_offset = (workload.pc_offset + 4) % LOOP_SIZE.min(code_ws);
+            workload.pc_offset = wrap_add(workload.pc_offset, 4, phase.loop_len);
             let pc = workload.code_base + workload.loop_base + workload.pc_offset;
             // one icache/iTLB probe per 16-instruction fetch group
             if i % 16 == 0 {
@@ -283,8 +344,7 @@ impl Machine {
             // ---- branch side ----
             if workload.rng.random_bool(ph.branch.branch_ratio) {
                 branches += 1;
-                let site =
-                    workload.rng.random_range(0..ph.branch.pc_diversity) * 4 + workload.code_base;
+                let site = phase.site.sample(&mut workload.rng) * 4 + workload.code_base;
                 let taken = if workload.rng.random_bool(ph.branch.predictability) {
                     // stable per-site direction: derive from the site id
                     !site.is_multiple_of(3)
@@ -300,13 +360,13 @@ impl Machine {
             if workload.rng.random_bool(ph.mem.mem_ratio) {
                 let is_store = workload.rng.random_bool(ph.mem.store_ratio);
                 let addr = if workload.rng.random_bool(ph.mem.stream_prob) {
-                    workload.stream_pos = (workload.stream_pos + ph.mem.stride) % data_ws;
+                    workload.stream_pos =
+                        wrap_add(workload.stream_pos, ph.mem.stride, phase.data_ws);
                     workload.heap_base + workload.stream_pos
                 } else if workload.rng.random_bool(ph.mem.hot_prob) {
-                    let hot = ((data_ws as f64 * ph.mem.hot_fraction) as u64).max(64);
-                    workload.heap_base + workload.rng.random_range(0..hot)
+                    workload.heap_base + phase.hot.sample(&mut workload.rng)
                 } else {
-                    workload.heap_base + workload.rng.random_range(0..data_ws)
+                    workload.heap_base + phase.data.sample(&mut workload.rng)
                 };
                 if is_store {
                     mem_stores += 1;

@@ -290,19 +290,80 @@ impl StandardUniform for i128 {
 // Ranged uniform sampling
 // ---------------------------------------------------------------------------
 
-/// Unbiased uniform draw from `[0, n)` by rejection (Lemire-style
-/// threshold on the raw 64-bit word — no modulo bias).
+/// Unbiased uniform draw from `[0, n)`: a one-shot [`UniformBelow`].
 #[inline]
 fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
-    debug_assert!(n > 0);
-    // 2^64 mod n: raw words below this threshold would over-represent
-    // the low residues, so reject them.
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let x = rng.next_u64();
-        if x >= threshold {
-            return x % n;
+    UniformBelow::new(n).sample(rng)
+}
+
+/// A uniform sampler over `[0, n)` for a fixed `n`, with every division
+/// done once, up front.
+///
+/// It draws exactly what `rng.random_range(0..n)` draws, word for word:
+/// the same rejection of raw 64-bit words below `2^64 mod n` (no modulo
+/// bias), then `x % n` on the first accepted word. The remainder is
+/// Lemire's exact "fastmod" (Lemire, Kaser & Kurz, *Faster Remainder by
+/// Direct Computation*, 2019): with `m = ceil(2^128 / n)`,
+/// `x % n = ((m · x) mod 2^128) · n >> 128` for every 64-bit `x`, i.e.
+/// a few multiplies instead of a ~40-cycle hardware divide. Worth it
+/// wherever the same bound is drawn from many times.
+///
+/// # Example
+///
+/// ```
+/// use hmd_util::rng::prelude::*;
+/// use hmd_util::rng::UniformBelow;
+///
+/// let die = UniformBelow::new(6);
+/// let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+/// for _ in 0..100 {
+///     assert_eq!(die.sample(&mut a), b.random_range(0..6u64));
+/// }
+/// ```
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct UniformBelow {
+    n: u64,
+    /// `2^64 mod n`: raw words below this would over-represent the low
+    /// residues, so they are rejected.
+    threshold: u64,
+    /// `ceil(2^128 / n) mod 2^128` (0 for `n = 1`, which makes every
+    /// remainder 0, as it must be).
+    m: u128,
+}
+
+impl UniformBelow {
+    /// A sampler over `[0, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `n == 0` (an empty range).
+    #[must_use]
+    #[inline]
+    pub fn new(n: u64) -> Self {
+        assert!(n > 0, "UniformBelow: empty range 0..0");
+        Self { n, threshold: n.wrapping_neg() % n, m: (u128::MAX / u128::from(n)).wrapping_add(1) }
+    }
+
+    /// Draws one value in `[0, n)`.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        loop {
+            let x = rng.next_u64();
+            if x >= self.threshold {
+                return self.rem(x);
+            }
         }
+    }
+
+    /// `x % n` by fastmod: the top 64 bits of the 192-bit product
+    /// `((m · x) mod 2^128) · n`.
+    #[inline]
+    #[allow(clippy::cast_possible_truncation)]
+    fn rem(&self, x: u64) -> u64 {
+        let low = self.m.wrapping_mul(u128::from(x));
+        let n = u128::from(self.n);
+        let carry = (u128::from(low as u64) * n) >> 64;
+        (((low >> 64) * n + carry) >> 64) as u64
     }
 }
 
@@ -780,5 +841,97 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_state_rejected() {
         let _ = StdRng::from_state([0; 4]);
+    }
+
+    /// The rejection sampler as it was before [`UniformBelow`]: one
+    /// hardware division for the threshold and one for the remainder on
+    /// every draw. Kept as the reference the sampler must match.
+    fn reference_below<R: RngCore + ?Sized>(rng: &mut R, n: u64) -> u64 {
+        let threshold = n.wrapping_neg() % n;
+        loop {
+            let x = rng.next_u64();
+            if x >= threshold {
+                return x % n;
+            }
+        }
+    }
+
+    /// `n = 1`, every power of two, its neighbours, and bounds near
+    /// `u64::MAX`, where the rejection zone is widest.
+    fn edge_bounds() -> Vec<u64> {
+        let mut out = vec![1, 3, 6, 7, u64::MAX, u64::MAX - 1, (1 << 63) + 1, u64::MAX / 3];
+        for k in 1..64 {
+            out.extend([(1u64 << k) - 1, 1u64 << k, (1u64 << k) + 1]);
+        }
+        out
+    }
+
+    /// Draw for draw: [`UniformBelow::sample`], `random_range(0..n)` and
+    /// the division reference consume the same words and return the
+    /// same values.
+    fn assert_matches_reference(n: u64, seed: u64, draws: usize) {
+        let sampler = UniformBelow::new(n);
+        let mut a = StdRng::seed_from_u64(seed);
+        let mut b = StdRng::seed_from_u64(seed);
+        let mut c = StdRng::seed_from_u64(seed);
+        for i in 0..draws {
+            let want = reference_below(&mut a, n);
+            assert_eq!(sampler.sample(&mut b), want, "n = {n}, draw {i}");
+            assert_eq!(c.random_range(0..n), want, "random_range, n = {n}, draw {i}");
+        }
+        assert_eq!(a, b, "n = {n}: sampler consumed a different number of words");
+        assert_eq!(a, c, "n = {n}: random_range consumed a different number of words");
+    }
+
+    #[test]
+    fn uniform_below_matches_reference_at_edge_bounds() {
+        for (i, n) in edge_bounds().into_iter().enumerate() {
+            assert_matches_reference(n, 1000 + i as u64, 256);
+        }
+    }
+
+    /// The fastmod remainder is exact for every word, not just for the
+    /// accepted ones the sampler hands it.
+    #[test]
+    fn fastmod_is_exact_on_extreme_words() {
+        let words = [0, 1, 2, u64::MAX, u64::MAX - 1, 1 << 63, (1 << 63) - 1, (1 << 32) + 7];
+        for n in edge_bounds() {
+            let sampler = UniformBelow::new(n);
+            for &x in &words {
+                assert_eq!(sampler.rem(x), x % n, "{x} % {n}");
+                assert_eq!(sampler.rem(x / 3), (x / 3) % n, "{} % {n}", x / 3);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn uniform_below_rejects_zero() {
+        let _ = UniformBelow::new(0);
+    }
+
+    crate::prop_tests! {
+        cases = 256;
+
+        /// Random bounds across every magnitude: the bound is
+        /// `mantissa >> shift`, so small, mid-size and near-`u64::MAX`
+        /// bounds are all common.
+        fn uniform_below_matches_reference_at_random_bounds(
+            mantissa in 1u64..=u64::MAX,
+            shift in 0u32..64,
+            seed in 0u64..u64::MAX,
+        ) {
+            let n = (mantissa >> shift).max(1);
+            assert_matches_reference(n, seed, 64);
+        }
+
+        fn fastmod_matches_division_on_random_words(
+            n in 1u64..=u64::MAX,
+            shift in 0u32..64,
+            x in 0u64..=u64::MAX,
+        ) {
+            let n = (n >> shift).max(1);
+            crate::prop_assert_eq!(UniformBelow::new(n).rem(x), x % n);
+        }
     }
 }

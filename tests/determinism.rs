@@ -531,3 +531,90 @@ fn fleet_shard_zero_matches_single_session() {
         "shard seeds failed to decorrelate"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Simulator counters are the contract
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a byte sequence, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Digest of the first `n` windows of a stream: every counter's bit
+/// pattern plus the ground-truth class, in stream order.
+fn stream_digest(cfg: hmd::sim::StreamConfig, n: usize) -> u64 {
+    hmd::sim::WindowStream::new(cfg).take(n).fold(hmd::recorder::DIGEST_SEED, |h, w| {
+        let h = w.values.iter().fold(h, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()));
+        fnv1a(h, w.class.name().as_bytes())
+    })
+}
+
+/// The stream the live serving workload draws from: the quick corpus's
+/// machine, perf and isolation settings with the serving traffic seed.
+fn live_stream_config() -> hmd::sim::StreamConfig {
+    let cfg = hmd::ServingConfig::quick(41);
+    let corpus = &cfg.framework.corpus;
+    assert_eq!(corpus, &FrameworkConfig::quick(41).corpus);
+    hmd::sim::StreamConfig {
+        malware_fraction: cfg.malware_fraction,
+        windows_per_app: corpus.windows_per_app,
+        warmup_windows: corpus.warmup_windows,
+        machine: corpus.machine,
+        perf: corpus.perf.clone(),
+        isolation: corpus.isolation,
+        seed: cfg.stream_seed,
+    }
+}
+
+/// The simulator's counters are pinned, not merely self-consistent: a
+/// change to the cache models, the instruction loop or the order of any
+/// RNG draw moves these digests. Any such change is a behaviour change
+/// and must be argued as one.
+#[test]
+fn live_stream_counters_are_pinned() {
+    assert_eq!(stream_digest(live_stream_config(), 10_000), LIVE_STREAM_DIGEST);
+}
+
+const LIVE_STREAM_DIGEST: u64 = 6_891_008_986_813_565_984;
+
+#[test]
+fn corpus_counters_are_pinned() {
+    let corpus = build_corpus(&CorpusConfig::quick(77));
+    let data = &corpus.dataset;
+    let mut h = hmd::recorder::DIGEST_SEED;
+    for i in 0..data.len() {
+        for v in data.row(i).expect("row in range") {
+            h = fnv1a(h, &v.to_bits().to_le_bytes());
+        }
+        h = fnv1a(h, format!("{:?}", data.label(i).expect("label in range")).as_bytes());
+        h = fnv1a(h, corpus.row_classes[i].name().as_bytes());
+    }
+    assert_eq!(h, CORPUS_DIGEST);
+}
+
+const CORPUS_DIGEST: u64 = 2_097_348_130_990_497_793;
+
+/// Paths serving never takes: the next-line prefetcher under a noisy
+/// co-tenant, and emulated (biased, jittered) VM counters.
+#[test]
+fn prefetch_and_isolation_paths_are_pinned() {
+    use hmd::sim::{IsolationMode, WorkloadClass};
+    let mut shared = live_stream_config();
+    shared.machine.next_line_prefetch = true;
+    shared.isolation = IsolationMode::SharedMachine { neighbour: WorkloadClass::Ransomware };
+    shared.seed = 5;
+    let mut vm = live_stream_config();
+    vm.machine.next_line_prefetch = true;
+    vm.isolation = IsolationMode::VmEmulated { bias: 0.15, jitter: 0.05 };
+    vm.seed = 6;
+    assert_eq!(stream_digest(shared, 1_000), SHARED_PREFETCH_DIGEST);
+    assert_eq!(stream_digest(vm, 1_000), VM_PREFETCH_DIGEST);
+}
+
+const SHARED_PREFETCH_DIGEST: u64 = 1_422_124_320_550_923_453;
+const VM_PREFETCH_DIGEST: u64 = 12_932_538_722_052_637_966;

@@ -17,9 +17,11 @@
 //! `--expect-incident` validates the forensic pipeline: the
 //! `hmd_serving_incidents_total` counter must be ≥ 1, the `/incidents`
 //! index must list at least one bundle, and the first bundle fetched
-//! from `/incidents/<id>.json` must carry the `hmd-incident-v2` schema
-//! with a non-empty window array. `--save-incident PATH` writes that
-//! bundle to disk so the `replay` binary can re-execute it.
+//! from `/incidents/<id>.json` must carry the `hmd-incident-v3` schema
+//! (v2 and v1 are still accepted) with a non-empty window array whose
+//! every window holds the row, critic score, routed model and
+//! generation. `--save-incident PATH` writes that bundle to disk so the
+//! `replay` binary can re-execute it.
 //!
 //! `--expect-history` validates `/history.json`: the tier shape
 //! (`fine_every`/`fold`), a non-empty merged fine tier, a per-shard
@@ -224,16 +226,16 @@ fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
     let bundle =
         Json::parse(&body).map_err(|e| format!("/incidents/{id}.json is not valid JSON: {e:?}"))?;
     match bundle.get("schema").and_then(Json::as_str) {
-        Some("hmd-incident-v2") => {
-            // v2 bundles must carry the traces array (may be empty if
+        Some(schema @ ("hmd-incident-v3" | "hmd-incident-v2")) => {
+            // v2+ bundles must carry the traces array (may be empty if
             // no flagged window was promoted before the fire edge)
             if bundle.get("traces").and_then(Json::as_arr).is_none() {
-                return Err(format!("v2 bundle {id} is missing the traces array"));
+                return Err(format!("{schema} bundle {id} is missing the traces array"));
             }
         }
         // a replayed service could still serve pre-trace bundles
         Some("hmd-incident-v1") => {}
-        other => return Err(format!("bundle {id} schema is {other:?}, want hmd-incident-v2")),
+        other => return Err(format!("bundle {id} schema is {other:?}, want hmd-incident-v3")),
     }
     let windows = bundle
         .get("windows")
@@ -241,6 +243,14 @@ fn check_incidents(args: &Args, page: &str) -> Result<(), String> {
         .ok_or_else(|| format!("bundle {id} is missing the windows array"))?;
     if windows.is_empty() {
         return Err(format!("bundle {id} holds no windows"));
+    }
+    // what replay re-classifies and cross-checks, in every schema
+    for (i, w) in windows.iter().enumerate() {
+        for field in ["row", "adv_score", "selected_model", "generation"] {
+            if w.get(field).is_none() {
+                return Err(format!("bundle {id} window {i} is missing the {field} field"));
+            }
+        }
     }
     for field in ["verdict_digest", "config", "triggers", "monitor"] {
         if bundle.get(field).is_none() {

@@ -6,10 +6,14 @@
 //! bundle's pinned model generation(s) from the recorded seed,
 //! re-executes every captured window through the detector, and asserts
 //! that the replayed verdicts — and their FNV-1a digest — are
-//! byte-identical to what the live shard served. It then prints a
-//! per-window explanation trace (critic score vs. threshold, routed
-//! model, per-model probabilities) so the alert can be understood
-//! offline.
+//! byte-identical to what the live shard served. Every window is also
+//! explained at its generation, and the explanation is cross-checked
+//! bit for bit against what the bundle recorded: the critic score and
+//! the routed model always, and the per-model probabilities on v1/v2
+//! bundles (v3 bundles no longer carry them — replay derives them
+//! here). It then prints a per-window explanation trace (critic score
+//! vs. threshold, routed model, per-model probabilities) so the alert
+//! can be understood offline.
 //!
 //! ```text
 //! replay <bundle.json> [--explain N]
@@ -17,7 +21,8 @@
 //!
 //! `--explain N` prints the trace for the last N windows (default 8;
 //! 0 silences it). Exit status: 0 on a byte-identical replay, 1 on any
-//! verdict or digest divergence, 2 on usage/parse errors.
+//! verdict, digest or recorded-field divergence, 2 on usage/parse
+//! errors.
 //!
 //! Generation 0 needs only the training pipeline
 //! ([`Framework::prepare_serving`]); windows served by a later
@@ -29,10 +34,12 @@
 
 use std::sync::Arc;
 
-use hmd::core::{Framework, ServingArtifacts, Verdict};
-use hmd::recorder::{verdict_digest, verdict_name, IncidentBundle, WindowTrace};
+use hmd::core::{ExplainTrace, Framework, ServingArtifacts, Verdict};
+use hmd::recorder::{
+    float_array, verdict_digest, verdict_name, IncidentBundle, WindowTrace, BUNDLE_SCHEMA,
+};
 use hmd::serving::FleetSession;
-use hmd_util::json::Json;
+use hmd_util::json::{Json, JsonError};
 
 fn usage(problem: &str) -> ! {
     eprintln!("replay: {problem}");
@@ -70,7 +77,10 @@ fn main() {
 
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let bundle = IncidentBundle::parse(&text)
+    let doc = Json::parse(&text).unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
+    let bundle = IncidentBundle::from_json(&doc)
+        .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
+    let recorded_probs = recorded_model_probs(&doc)
         .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
     eprintln!(
         "replay: bundle {} (shard {}/{}, sample {}, generation {}, {} windows, digest {:016x})",
@@ -197,20 +207,56 @@ fn main() {
         start = end;
     }
 
+    // every window explained at its own generation: the per-model
+    // probabilities (v3 bundles do not record them) plus the values
+    // the recorder did record, cross-checked below
+    let explained: Vec<ExplainTrace> = bundle
+        .windows
+        .iter()
+        .map(|w| {
+            artifacts_at(w.generation)
+                .detector
+                .classify_explain(&w.row)
+                .unwrap_or_else(|e| fail(&format!("explain failed: {e}")))
+        })
+        .collect();
+
     // the forensic contract: replayed verdicts (and their digest) are
-    // byte-identical to what the live shard served
+    // byte-identical to what the live shard served, and so is every
+    // other value the recorder kept
     let mut mismatches = 0usize;
-    for (w, &got) in bundle.windows.iter().zip(&replayed) {
+    let checked = bundle.windows.iter().zip(replayed.iter().zip(&explained));
+    for (i, (w, (&got, trace))) in checked.enumerate() {
+        let mut diverged = Vec::new();
         if got != w.verdict {
-            mismatches += 1;
-            eprintln!(
-                "replay: MISMATCH sample {} gen {}: recorded {} replayed {}",
-                w.sample,
-                w.generation,
+            diverged.push(format!(
+                "recorded {} replayed {}",
                 verdict_name(w.verdict),
                 verdict_name(got)
-            );
+            ));
         }
+        if trace.adv_score.to_bits() != w.adv_score.to_bits() {
+            let (recorded, replayed) = (w.adv_score, trace.adv_score);
+            diverged.push(format!("adv_score recorded {recorded} replayed {replayed}"));
+        }
+        if trace.selected_model != w.selected_model {
+            diverged.push(format!(
+                "selected_model recorded {} replayed {}",
+                w.selected_model, trace.selected_model
+            ));
+        }
+        if let Some(probs) = recorded_probs.as_ref().map(|p| &p[i]) {
+            if !bits_equal(probs, &trace.model_probs) {
+                diverged.push(format!(
+                    "model_probs recorded {probs:?} replayed {:?}",
+                    trace.model_probs
+                ));
+            }
+        }
+        for d in &diverged {
+            eprintln!("replay: MISMATCH sample {} gen {}: {d}", w.sample, w.generation);
+        }
+        mismatches += diverged.len();
     }
     let digest = verdict_digest(replayed.iter().copied());
     eprintln!(
@@ -218,17 +264,16 @@ fn main() {
         replayed.len(),
         bundle.verdict_digest
     );
+    eprintln!(
+        "replay: cross-checked adv_score, selected_model{} against the bundle",
+        if recorded_probs.is_some() { ", model_probs" } else { "" }
+    );
 
     // explanation traces for the most recent windows: why each verdict
     // fell out of the critic threshold and the routed model
     if explain > 0 {
         let skip = bundle.windows.len().saturating_sub(explain);
-        for w in &bundle.windows[skip..] {
-            let artifacts = artifacts_at(w.generation);
-            let trace = artifacts
-                .detector
-                .classify_explain(&w.row)
-                .unwrap_or_else(|e| fail(&format!("explain failed: {e}")));
+        for (w, trace) in bundle.windows.iter().zip(&explained).skip(skip) {
             let probs: Vec<String> = bundle
                 .model_names
                 .iter()
@@ -251,11 +296,26 @@ fn main() {
 
     if mismatches > 0 || digest != bundle.verdict_digest {
         eprintln!(
-            "replay: FAILED — {mismatches} verdict mismatch(es), digest {}",
+            "replay: FAILED — {mismatches} mismatch(es), digest {}",
             if digest == bundle.verdict_digest { "matches" } else { "DIVERGED" }
         );
         std::process::exit(1);
     }
     println!("REPLAY_TRACES {} embedded stage trace(s) round-tripped", bundle.traces.len());
     println!("REPLAY_OK {} windows digest {digest:016x}", replayed.len());
+}
+
+/// The per-model probabilities a v1/v2 bundle recorded, one array per
+/// window; `None` for v3 bundles, which leave them to replay.
+fn recorded_model_probs(doc: &Json) -> Result<Option<Vec<Vec<f64>>>, JsonError> {
+    if doc.get("schema").and_then(Json::as_str) == Some(BUNDLE_SCHEMA) {
+        return Ok(None);
+    }
+    let windows = doc.get("windows").and_then(Json::as_arr).unwrap_or_default();
+    windows.iter().map(|w| float_array(w, "model_probs")).collect::<Result<_, _>>().map(Some)
+}
+
+/// Whether two float slices are equal bit for bit (length included).
+fn bits_equal(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }

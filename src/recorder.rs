@@ -1,13 +1,12 @@
 //! Flight recorder + incident bundles: the serving loop's black box.
 //!
 //! Every shard keeps a [`FlightRecorder`] — a preallocated ring of the
-//! last N served windows (raw feature row, per-model probabilities,
-//! adversarial-predictor score, routing decision, verdict, model
-//! generation, model-only latency). Recording is allocation-free: the
-//! recorder owns its inference scratch (one critic scratch plus one
-//! [`PredictScratch`] per zoo model, sized at warmup exactly like the
-//! serving [`InferArena`](hmd_core::InferArena)), and every per-window
-//! write lands in flat buffers sized once at construction.
+//! last N served windows (raw feature row, adversarial-predictor score,
+//! routing decision, verdict, model generation, model-only latency).
+//! Recording is allocation-free: the recorder owns a one-row critic
+//! scratch, and every per-window write lands in flat buffers sized once
+//! at construction. It never re-runs the model zoo: `replay` derives
+//! the per-model probabilities at each window's pinned generation.
 //!
 //! When an SLO alert crosses a fire edge, the shard snapshots the ring
 //! plus its monitor/alert/generation state into an [`IncidentBundle`]:
@@ -24,7 +23,6 @@
 //! binary.
 
 use hmd_core::{AdaptiveDetector, CoreError, Verdict};
-use hmd_ml::PredictScratch;
 use hmd_nn::InferScratch;
 use hmd_obs::{AlertTransition, MonitorSnapshot};
 use hmd_rl::ConstraintKind;
@@ -32,13 +30,15 @@ use hmd_util::json::{field, Json, JsonError};
 
 use crate::serving::{Burst, ServingConfig};
 
-/// Schema tag written into every bundle. v2 adds the `traces` array
-/// (promoted per-window stage traces); [`IncidentBundle::from_json`]
-/// still accepts v1 documents, which simply carry no traces.
-pub const BUNDLE_SCHEMA: &str = "hmd-incident-v2";
+/// Schema tag written into every bundle: v2 without the per-window
+/// `model_probs` array. [`IncidentBundle::from_json`] still accepts v2
+/// and v1 documents and ignores their `model_probs`.
+pub const BUNDLE_SCHEMA: &str = "hmd-incident-v3";
 
-/// The previous bundle schema, still accepted on parse for replay
-/// compatibility with bundles captured before stage tracing existed.
+/// v1 plus the `traces` array (promoted per-window stage traces).
+pub const BUNDLE_SCHEMA_V2: &str = "hmd-incident-v2";
+
+/// The first bundle schema, captured before stage tracing existed.
 pub const BUNDLE_SCHEMA_V1: &str = "hmd-incident-v1";
 
 /// FNV-1a offset basis — the seed of every verdict digest chain.
@@ -389,8 +389,6 @@ pub struct IncidentWindow {
     pub adv_score: f64,
     /// The model the UCB controller had routed to.
     pub selected_model: usize,
-    /// Attack probability from every model in the zoo (paper order).
-    pub model_probs: Vec<f64>,
     /// The model generation that served the window.
     pub generation: u64,
     /// Wall-clock model-only latency (informational; scrubbed when
@@ -408,10 +406,6 @@ impl IncidentWindow {
             ("verdict".to_owned(), Json::Str(verdict_name(self.verdict).to_owned())),
             ("adv_score".to_owned(), Json::Float(self.adv_score)),
             ("selected_model".to_owned(), Json::UInt(self.selected_model as u64)),
-            (
-                "model_probs".to_owned(),
-                Json::Arr(self.model_probs.iter().map(|&p| Json::Float(p)).collect()),
-            ),
             ("generation".to_owned(), Json::UInt(self.generation)),
             ("model_latency_ns".to_owned(), Json::UInt(self.model_latency_ns)),
             ("row".to_owned(), Json::Arr(self.row.iter().map(|&x| Json::Float(x)).collect())),
@@ -419,27 +413,31 @@ impl IncidentWindow {
     }
 
     fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let verdict = parse_verdict(&field::<String>(j, "verdict")?)?;
-        let arr_f64 = |name: &str| -> Result<Vec<f64>, JsonError> {
-            j.get(name)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| JsonError::new(format!("missing array {name:?}")))?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| JsonError::new(format!("non-number in {name:?}"))))
-                .collect()
-        };
         Ok(Self {
             sample: field(j, "sample")?,
             t_ns: field(j, "t_ns")?,
-            verdict,
+            verdict: parse_verdict(&field::<String>(j, "verdict")?)?,
             adv_score: field(j, "adv_score")?,
             selected_model: field(j, "selected_model")?,
-            model_probs: arr_f64("model_probs")?,
             generation: field(j, "generation")?,
             model_latency_ns: field(j, "model_latency_ns")?,
-            row: arr_f64("row")?,
+            row: float_array(j, "row")?,
         })
     }
+}
+
+/// The numeric array under `name` in object `j`.
+///
+/// # Errors
+///
+/// Returns [`JsonError`] if it is missing or holds a non-number.
+pub fn float_array(j: &Json, name: &str) -> Result<Vec<f64>, JsonError> {
+    j.get(name)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| JsonError::new(format!("missing array {name:?}")))?
+        .iter()
+        .map(|v| v.as_f64().ok_or_else(|| JsonError::new(format!("non-number in {name:?}"))))
+        .collect()
 }
 
 /// One alert edge from the evaluation that captured the bundle.
@@ -651,7 +649,7 @@ pub struct IncidentBundle {
     /// The monitor's windowed view at capture time.
     pub monitor: IncidentMonitor,
     /// Zoo model names, index-aligned with every window's
-    /// `model_probs` and `selected_model`.
+    /// `selected_model`.
     pub model_names: Vec<String>,
     /// The serving configuration (base seed + overrides).
     pub config: ServingConfig,
@@ -713,9 +711,9 @@ impl IncidentBundle {
     /// missing field.
     pub fn from_json(j: &Json) -> Result<Self, JsonError> {
         let schema: String = field(j, "schema")?;
-        if schema != BUNDLE_SCHEMA && schema != BUNDLE_SCHEMA_V1 {
+        if ![BUNDLE_SCHEMA, BUNDLE_SCHEMA_V2, BUNDLE_SCHEMA_V1].contains(&schema.as_str()) {
             return Err(JsonError::new(format!(
-                "unsupported bundle schema {schema:?} (expected {BUNDLE_SCHEMA:?} or {BUNDLE_SCHEMA_V1:?})"
+                "unsupported bundle schema {schema:?} (expected hmd-incident-v1, -v2 or -v3)"
             )));
         }
         let arr = |name: &str| -> Result<&[Json], JsonError> {
@@ -792,9 +790,9 @@ pub struct WindowStamp {
 }
 
 /// The per-shard flight recorder: a preallocated ring of the last N
-/// served windows plus the inference scratch that lets it score every
-/// window against the adversarial predictor and the whole model zoo
-/// without a single heap allocation.
+/// served windows plus a one-row critic scratch, so recording a window
+/// (row, verdict, routed model, stamp, critic value) never touches the
+/// heap. It does not score the model zoo.
 ///
 /// `head` is the next write slot; the ring holds `len ≤ cap` windows
 /// ending at the most recently recorded one.
@@ -802,13 +800,10 @@ pub struct WindowStamp {
 pub struct FlightRecorder {
     cap: usize,
     width: usize,
-    n_models: usize,
     head: usize,
     len: usize,
     /// `cap × width` feature rows.
     rows: Vec<f64>,
-    /// `cap × n_models` per-model attack probabilities.
-    probs: Vec<f64>,
     adv_scores: Vec<f64>,
     selected: Vec<usize>,
     verdicts: Vec<Verdict>,
@@ -818,13 +813,11 @@ pub struct FlightRecorder {
     model_latency: Vec<u64>,
     /// One-row critic scratch for the adversarial predictor.
     critic: InferScratch,
-    /// One one-row scratch per zoo model.
-    model_scratch: Vec<PredictScratch>,
 }
 
 impl FlightRecorder {
     /// Builds a recorder for `cap` windows of `width` features, sizing
-    /// the inference scratch from the deployed detector's topology.
+    /// the critic scratch from the deployed predictor's topology.
     ///
     /// # Panics
     ///
@@ -833,15 +826,12 @@ impl FlightRecorder {
     pub fn warmup(detector: &AdaptiveDetector, width: usize, cap: usize) -> Self {
         assert!(cap > 0, "flight recorder capacity must be positive");
         assert!(width > 0, "flight recorder width must be positive");
-        let n_models = detector.models().len();
         Self {
             cap,
             width,
-            n_models,
             head: 0,
             len: 0,
             rows: vec![0.0; cap * width],
-            probs: vec![0.0; cap * n_models],
             adv_scores: vec![0.0; cap],
             selected: vec![0; cap],
             verdicts: vec![Verdict::Benign; cap],
@@ -850,30 +840,27 @@ impl FlightRecorder {
             generations: vec![0; cap],
             model_latency: vec![0; cap],
             critic: detector.predictor().infer_scratch(1),
-            model_scratch: detector.models().iter().map(|m| m.make_scratch(1)).collect(),
         }
     }
 
-    /// Re-sizes the inference scratch against freshly hot-swapped
+    /// Re-sizes the critic scratch against freshly hot-swapped
     /// artifacts. Ring contents survive — incident history deliberately
     /// crosses generation boundaries, which is why every window carries
     /// its own generation tag.
     pub fn rewarm(&mut self, detector: &AdaptiveDetector) {
-        debug_assert_eq!(detector.models().len(), self.n_models, "zoo shape changed under swap");
         self.critic = detector.predictor().infer_scratch(1);
-        self.model_scratch = detector.models().iter().map(|m| m.make_scratch(1)).collect();
     }
 
     /// Records one served window and returns the adversarial
     /// predictor's critic score for the row (the value the metrics
     /// history accumulates as `critic_sum`). Allocation-free: scores
-    /// the row through the recorder-owned scratch and writes into the
-    /// preallocated ring.
+    /// the critic through the recorder-owned scratch and writes into
+    /// the preallocated ring.
     ///
     /// # Errors
     ///
-    /// Propagates model prediction failures (unfitted model — cannot
-    /// happen on promoted artifacts).
+    /// Never fails: the critic is infallible. The `Result` is the
+    /// signature the serving loops were written against.
     ///
     /// # Panics
     ///
@@ -888,10 +875,6 @@ impl FlightRecorder {
         assert_eq!(row.len(), self.width, "row width changed under the recorder");
         let slot = self.head;
         self.rows[slot * self.width..(slot + 1) * self.width].copy_from_slice(row);
-        for (m, model) in detector.models().iter().enumerate() {
-            self.probs[slot * self.n_models + m] =
-                model.predict_proba_row_with(row, &mut self.model_scratch[m])?;
-        }
         let adv_score = detector.predictor().feedback_reward_with(row, &mut self.critic);
         self.adv_scores[slot] = adv_score;
         self.selected[slot] = detector.controller().selected_model();
@@ -951,7 +934,6 @@ impl FlightRecorder {
                     verdict: self.verdicts[s],
                     adv_score: self.adv_scores[s],
                     selected_model: self.selected[s],
-                    model_probs: self.probs[s * self.n_models..(s + 1) * self.n_models].to_vec(),
                     generation: self.generations[s],
                     model_latency_ns: self.model_latency[s],
                     row: self.rows[s * self.width..(s + 1) * self.width].to_vec(),
@@ -1032,6 +1014,99 @@ mod tests {
     fn bundle_parse_rejects_wrong_schema() {
         let err = IncidentBundle::parse("{\"schema\":\"hmd-incident-v0\"}").unwrap_err();
         assert!(err.to_string().contains("unsupported bundle schema"));
+    }
+
+    fn bundle() -> IncidentBundle {
+        IncidentBundle {
+            id: "s0-i0".to_owned(),
+            shard: 0,
+            seq: 0,
+            t_ns: 20_000_000,
+            sample_index: 2,
+            generation: 0,
+            stream_seed: 7,
+            verdict_digest: verdict_digest([Verdict::Benign, Verdict::AdversarialAttack]),
+            triggers: vec![IncidentTrigger {
+                rule: "adversarial_flag_rate".to_owned(),
+                severity: "critical".to_owned(),
+                firing: true,
+                observed: 0.5,
+                threshold: 0.25,
+            }],
+            alerts_firing: vec!["adversarial_flag_rate".to_owned()],
+            monitor: IncidentMonitor {
+                samples: 2,
+                tp: 1,
+                fn_: 0,
+                fp: 0,
+                tn: 1,
+                flags: 1,
+                drifts: 0,
+                total_samples: 2,
+                model_latency_p95_ms: 0.01,
+            },
+            model_names: vec!["RF".to_owned(), "DT".to_owned()],
+            config: ServingConfig::quick(7),
+            shards: 1,
+            windows: [Verdict::Benign, Verdict::AdversarialAttack]
+                .into_iter()
+                .enumerate()
+                .map(|(i, verdict)| IncidentWindow {
+                    sample: i as u64,
+                    t_ns: (i as u64 + 1) * 10_000_000,
+                    verdict,
+                    adv_score: 0.1 + i as f64,
+                    selected_model: 1,
+                    generation: 0,
+                    model_latency_ns: 300,
+                    row: vec![-0.5, 0.25 * i as f64],
+                })
+                .collect(),
+            traces: vec![trace(1, TraceReason::Flagged)],
+        }
+    }
+
+    /// Rewrites a serialized bundle as an older schema: every window
+    /// gains the `model_probs` array v1/v2 recorded, and v1 drops the
+    /// traces.
+    fn downgrade(doc: &mut Json, schema: &str) {
+        let Json::Obj(fields) = doc else { panic!("bundle is an object") };
+        fields.retain(|(k, _)| !(schema == BUNDLE_SCHEMA_V1 && k == "traces"));
+        for (key, value) in fields.iter_mut() {
+            match (key.as_str(), value) {
+                ("schema", v) => *v = Json::Str(schema.to_owned()),
+                ("windows", Json::Arr(windows)) => {
+                    for w in windows {
+                        let Json::Obj(w) = w else { panic!("window is an object") };
+                        let probs = Json::Arr(vec![Json::Float(0.25), Json::Float(0.75)]);
+                        w.push(("model_probs".to_owned(), probs));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn bundle_parse_accepts_every_schema() {
+        let original = bundle();
+        let v3 = original.to_json();
+        assert_eq!(v3.get("schema").and_then(Json::as_str), Some(BUNDLE_SCHEMA));
+        let window = &v3.get("windows").and_then(Json::as_arr).unwrap()[0];
+        assert!(window.get("model_probs").is_none(), "v3 windows carry no model_probs");
+        for schema in [BUNDLE_SCHEMA, BUNDLE_SCHEMA_V2, BUNDLE_SCHEMA_V1] {
+            let mut doc = Json::parse(&v3.to_string()).unwrap();
+            if schema != BUNDLE_SCHEMA {
+                downgrade(&mut doc, schema);
+            }
+            let back = IncidentBundle::parse(&doc.to_string()).unwrap();
+            assert_eq!(back.windows, original.windows, "{schema} windows");
+            assert_eq!(back.verdict_digest, original.verdict_digest, "{schema} digest");
+            let traces = if schema == BUNDLE_SCHEMA_V1 { vec![] } else { original.traces.clone() };
+            assert_eq!(back.traces, traces, "{schema} traces");
+            // re-serializing always writes the current schema
+            assert_eq!(back.to_json().get("schema").and_then(Json::as_str), Some(BUNDLE_SCHEMA));
+        }
     }
 
     fn trace(sample: u64, reason: TraceReason) -> WindowTrace {

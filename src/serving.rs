@@ -178,11 +178,12 @@ pub struct ServingConfig {
     /// configuration (`quick(base_seed)` + the bundle's overrides).
     pub base_seed: u64,
     /// Flight-recorder ring capacity: each shard keeps the last this
-    /// many served windows (row, per-model probabilities, critic score,
-    /// routing, verdict, generation, latency) in preallocated buffers
-    /// and snapshots them into an [`IncidentBundle`] on every SLO alert
-    /// fire edge. Recording is allocation-free. Zero disables the
-    /// recorder (and incident capture).
+    /// many served windows (row, critic score, routing, verdict,
+    /// generation, latency) in preallocated buffers and snapshots them
+    /// into an [`IncidentBundle`] on every SLO alert fire edge.
+    /// Recording is allocation-free and scores only the critic; the
+    /// per-model probabilities are derived by `replay`. Zero disables
+    /// the recorder (and incident capture).
     pub recorder: usize,
     /// Retain every published artifacts generation on the hub so
     /// [`ModelHub::artifacts_at`] can pin past generations after the
@@ -1066,8 +1067,8 @@ impl ServingSession {
             self.arena =
                 self.artifacts.detector.warmup(self.feature_idx.len(), self.cfg.batch.max(1));
             if let Some(ring) = &mut self.recorder_ring {
-                // fresh scratch for the refreshed zoo; ring contents
-                // survive the swap (windows carry their generation)
+                // fresh critic scratch; ring contents survive the swap
+                // (windows carry their generation)
                 ring.rewarm(&self.artifacts.detector);
             }
         }
@@ -1125,15 +1126,16 @@ impl ServingSession {
     /// flight-recorder write and (when enabled) monitoring, history and
     /// stage-trace promotion — identical between the scalar and batched
     /// paths. `row` is the engineered, scaled input the verdict was
-    /// served for; the recorder re-scores it through its own
-    /// preallocated scratch, so the write is allocation-free.
+    /// served for; the recorder copies it into its ring and scores the
+    /// critic through its own preallocated scratch, so the write is
+    /// allocation-free.
     ///
     /// Stage order matches [`recorder::TRACE_STAGES`]: draw and
     /// transform happened in the caller (their timings arrive in
     /// `timing`), classify is behind `timing.model_latency_ns`, and
-    /// this function times critic (the flight recorder's re-score),
-    /// route (digest + counters + clock publication) and record
-    /// (monitor + history) itself.
+    /// this function times critic (the flight-recorder write: ring
+    /// copy plus the critic score), route (digest + counters + clock
+    /// publication) and record (monitor + history) itself.
     fn record_verdict(
         &mut self,
         row: &[f64],
@@ -1145,8 +1147,8 @@ impl ServingSession {
         self.processed += 1;
         let now_ns = self.processed as u64 * self.cfg.tick_ns;
         let t_enter = clock::now_ns();
-        // critic stage: the flight recorder re-scores the row through
-        // the adversarial predictor (and the whole zoo)
+        // critic stage: the flight recorder writes the window and
+        // scores it through the adversarial predictor
         let critic_score = if let Some(ring) = &mut self.recorder_ring {
             let stamp = recorder::WindowStamp {
                 sample,

@@ -348,16 +348,21 @@ fn incident_bundles_are_byte_identical_across_batch_threads_and_shards() {
     };
     let artifacts = hmd::ServingSession::start(base.clone()).expect("train").artifacts_handle();
 
-    // shard 0's bundles of an n-shard fleet, serialized and scrubbed
-    let run = |batch: usize, shards: usize| -> Vec<String> {
+    // shard 0's bundles of an n-shard fleet, serialized and scrubbed,
+    // plus the pinned digest of the window fields the bundle records
+    let run = |batch: usize, shards: usize| -> (Vec<String>, u64) {
         let mut cfg = base.clone();
         cfg.batch = batch;
         cfg.calibration_samples = 0;
         let mut fleet =
             hmd::FleetSession::with_artifacts(&cfg, shards, artifacts.clone()).expect("fleet");
         fleet.run().expect("fleet run");
-        fleet.shards()[0]
-            .incidents()
+        let bundles = fleet.shards()[0].incidents();
+        let windows = bundles.iter().flat_map(|b| &b.windows).fold(
+            hmd::recorder::DIGEST_SEED,
+            incident_window_digest,
+        );
+        let docs = bundles
             .iter()
             .map(|b| {
                 // digest purity: the recorded digest is exactly the
@@ -370,7 +375,8 @@ fn incident_bundles_are_byte_identical_across_batch_threads_and_shards() {
                 );
                 scrub_incident(&b.to_json().to_string())
             })
-            .collect()
+            .collect();
+        (docs, windows)
     };
 
     let mut variants = Vec::new();
@@ -385,13 +391,30 @@ fn incident_bundles_are_byte_identical_across_batch_threads_and_shards() {
     par::set_thread_override(None);
 
     let (_, _, _, reference) = &variants[0];
-    assert!(!reference.is_empty(), "the seeded burst must capture at least one incident");
+    assert!(!reference.0.is_empty(), "the seeded burst must capture at least one incident");
     for (threads, batch, shards, got) in &variants {
         assert_eq!(
             got, reference,
             "bundle bytes moved at batch {batch}, {threads} thread(s), {shards} shard(s)"
         );
     }
+    // pinned, not only compared across configurations: a uniform
+    // drift of the recorded windows moves this constant
+    assert_eq!(reference.1, INCIDENT_WINDOWS_DIGEST, "recorded incident windows drifted");
+}
+
+const INCIDENT_WINDOWS_DIGEST: u64 = 5_333_568_458_709_742_664;
+
+/// Folds the forensic fields of one recorded window into an FNV-1a
+/// chain: everything a bundle records except the wall-clock latency.
+fn incident_window_digest(h: u64, w: &hmd::IncidentWindow) -> u64 {
+    let h = fnv1a(h, &w.sample.to_le_bytes());
+    let h = fnv1a(h, &w.t_ns.to_le_bytes());
+    let h = fnv1a(h, hmd::recorder::verdict_name(w.verdict).as_bytes());
+    let h = fnv1a(h, &w.adv_score.to_bits().to_le_bytes());
+    let h = fnv1a(h, &(w.selected_model as u64).to_le_bytes());
+    let h = fnv1a(h, &w.generation.to_le_bytes());
+    w.row.iter().fold(h, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
 }
 
 /// Replaces everything interleave- or wall-clock-dependent in a
@@ -506,7 +529,13 @@ fn shard_history_and_traces_are_byte_identical_across_batch_threads_and_shards()
             "trace bytes moved at batch {batch}, {threads} thread(s), {shards} shard(s)"
         );
     }
+    // pinned, not only compared across configurations: covers the
+    // critic values the recorder hands the history (`critic_sum`)
+    let pinned = fnv1a(fnv1a(hmd::recorder::DIGEST_SEED, history.as_bytes()), traces.as_bytes());
+    assert_eq!(pinned, HISTORY_TRACES_DIGEST, "shard-0 history or flagged traces drifted");
 }
+
+const HISTORY_TRACES_DIGEST: u64 = 10_281_155_033_033_667_582;
 
 /// Shard 0 of a fleet replays the exact single-session stream: same
 /// base seed, same digest. Other shards decorrelate.

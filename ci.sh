@@ -30,6 +30,13 @@ kill $BUSY_PIDS
 BUSY_PIDS=""
 trap - EXIT
 
+echo "== GBDT bitvector scorer equivalence (20x property cases) =="
+# The compiled leaf-mask scorer must equal the reference tree walk bit
+# for bit, and a batch its rows, on every configuration the 64-bit leaf
+# mask admits: the property at 20 times its declared 16 cases.
+HMD_PROP_CASES=320 cargo test -q --offline -p hmd-ml --lib -- --exact \
+    gbdt::tests::bitvector_scorer_matches_the_tree_walk
+
 echo "== clippy (offline, warnings are errors) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -2,7 +2,8 @@
 //! SHA-256 hashing, tensor/NN primitives, and the parallel substrate
 //! (`hmd_util::par`) before/after pairs — naive vs blocked matmul, and
 //! 1-thread vs all-thread forest fitting, corpus generation, and batch
-//! prediction. The binary runs under a counting global allocator so it
+//! prediction — plus the routed GBDT's scoring cost per row and per
+//! serving batch. The binary runs under a counting global allocator so it
 //! can also report `serve/steady_state_allocs_per_window` — the
 //! allocation-freedom pin for the arena-backed serving hot path. Emits
 //! `BENCH_substrates.json`.
@@ -14,7 +15,7 @@ use hmd_util::alloc::CountingAllocator;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
-use hmd_ml::{Classifier, Knn, RandomForest, RandomForestConfig};
+use hmd_ml::{Classifier, Gbdt, Knn, RandomForest, RandomForestConfig};
 use hmd_nn::{Dense, Loss, Optimizer, Relu, Sequential, Tensor};
 use hmd_sim::corpus::{build_corpus, CorpusConfig};
 use hmd_sim::machine::{Machine, MachineConfig, RunningWorkload};
@@ -132,6 +133,30 @@ fn bench_parallel_models(h: &mut Harness) {
     forest.fit(&train, &targets).unwrap();
     bench_thread_pair(h, "par/forest_batch_predict_512rows", || {
         black_box(forest.predict_proba(black_box(&test)).unwrap())
+    });
+}
+
+fn bench_gbdt(h: &mut Harness) {
+    // The serving path's routed model: one row at a time, and one
+    // 32-window batch through the arena entry point serving calls.
+    // Both cycle through 512 held-out rows, so a tree walk cannot ride
+    // a branch history memorized on one row.
+    let (train, targets) = blobs(150, 23);
+    let mut gbdt = Gbdt::new();
+    gbdt.fit(&train, &targets).unwrap();
+    let (test, _) = blobs(256, 24);
+    let width = test.n_features();
+    let mut rows = test.raw_data().chunks_exact(width).cycle();
+    h.bench("ml/gbdt_predict_row", || {
+        gbdt.predict_proba_row(black_box(rows.next().unwrap())).unwrap()
+    });
+    let mut batches = test.raw_data().chunks_exact(32 * width).cycle();
+    let mut scratch = gbdt.make_scratch(32);
+    let mut out = Vec::with_capacity(32);
+    h.bench("ml/gbdt_predict_batch32", || {
+        let batch = black_box(batches.next().unwrap());
+        gbdt.predict_proba_into(batch, width, &mut scratch, &mut out).unwrap();
+        out[31]
     });
 }
 
@@ -282,6 +307,7 @@ fn main() {
     bench_nn(&mut h);
     bench_matmul(&mut h);
     bench_parallel_models(&mut h);
+    bench_gbdt(&mut h);
     bench_telemetry(&mut h);
     bench_obs(&mut h);
     bench_serving(&mut h);

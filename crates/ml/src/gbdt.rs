@@ -7,12 +7,18 @@
 //! the logistic-loss gradients/hessians, and trees grow *leaf-wise*: the
 //! leaf with the globally best split gain is split next, until the leaf
 //! budget is exhausted.
+//!
+//! Scoring does not walk the trees. `fit` compiles them into per-feature
+//! tables of leaf bitmasks (QuickScorer), so a row costs one binary
+//! search per split feature, one AND per (split feature, tree) and one
+//! leaf load per tree, without a branch per tree node, and yields the
+//! same f64 as the walk.
 
 use hmd_tabular::Dataset;
 
 use hmd_nn::sigmoid;
 
-use crate::model::{validate_training_set, Classifier};
+use crate::model::{validate_batch_shape, validate_training_set, Classifier, PredictScratch};
 use crate::MlError;
 
 /// Hyper-parameters for [`Gbdt`].
@@ -22,7 +28,8 @@ pub struct GbdtConfig {
     pub n_iters: usize,
     /// Shrinkage applied to each tree's output.
     pub learning_rate: f64,
-    /// Maximum leaves per tree (leaf-wise growth budget).
+    /// Maximum leaves per tree (leaf-wise growth budget), 2 to 64: a
+    /// fitted tree is scored through a 64-bit leaf mask.
     pub num_leaves: usize,
     /// Histogram bins per feature.
     pub max_bins: usize,
@@ -48,6 +55,15 @@ impl Default for GbdtConfig {
     }
 }
 
+/// Width of a per-tree leaf mask, and so the most leaves a tree may
+/// have.
+const MAX_LEAVES: usize = u64::BITS as usize;
+
+/// Trees scored per pass of the kernel; bounds its on-stack exit masks.
+const TREE_CHUNK: usize = 128;
+
+/// A regression tree as grown by `fit`. It lives only until the
+/// ensemble is compiled into a [`BitvectorScorer`].
 #[derive(Clone, Debug)]
 enum GbNode {
     Leaf { value: f64 },
@@ -60,6 +76,12 @@ struct GbTree {
 }
 
 impl GbTree {
+    fn n_leaves(&self) -> usize {
+        self.nodes.iter().filter(|n| matches!(n, GbNode::Leaf { .. })).count()
+    }
+
+    /// The reference tree walk the bitvector scorer must reproduce.
+    #[cfg(test)]
     fn predict(&self, row: &[f64]) -> f64 {
         let mut node = 0usize;
         loop {
@@ -70,6 +92,157 @@ impl GbTree {
                 }
             }
         }
+    }
+
+    /// Numbers the leaves under `node` left to right from `*next_leaf`,
+    /// writing `learning_rate * value` into `leaf_values`, and pushes one
+    /// [`SplitMask`] per split node.
+    fn number_leaves(
+        &self,
+        node: usize,
+        tree: usize,
+        learning_rate: f64,
+        next_leaf: &mut usize,
+        leaf_values: &mut [f64],
+        splits: &mut Vec<SplitMask>,
+    ) {
+        match self.nodes[node] {
+            GbNode::Leaf { value } => {
+                leaf_values[*next_leaf] = learning_rate * value;
+                *next_leaf += 1;
+            }
+            GbNode::Split { feature, threshold, left, right } => {
+                let first = *next_leaf;
+                self.number_leaves(left, tree, learning_rate, next_leaf, leaf_values, splits);
+                // the right subtree holds a leaf, so the left one has at
+                // most MAX_LEAVES - 1 and the shift cannot overflow
+                let left_leaves = ((1u64 << (*next_leaf - first)) - 1) << first;
+                splits.push(SplitMask { feature, threshold, tree, mask: !left_leaves });
+                self.number_leaves(right, tree, learning_rate, next_leaf, leaf_values, splits);
+            }
+        }
+    }
+}
+
+/// One split of a grown tree: a row that fails `x <= threshold` goes
+/// right, so `mask` clears the leaves of the split's left subtree.
+struct SplitMask {
+    feature: usize,
+    threshold: f64,
+    tree: usize,
+    mask: u64,
+}
+
+/// One split feature's slice of the [`BitvectorScorer`] tables.
+#[derive(Clone, Debug)]
+struct FeatureBins {
+    /// Column of the feature in a row.
+    feature: usize,
+    /// The distinct non-NaN thresholds the trees split this feature on,
+    /// ascending. Bin `b` holds the `x` with
+    /// `thresholds[b - 1] < x <= thresholds[b]`.
+    thresholds: Vec<f64>,
+    /// Index of this feature's bin-0 row in [`BitvectorScorer::masks`].
+    first_row: usize,
+}
+
+impl FeatureBins {
+    fn bin(&self, x: f64) -> usize {
+        // `NaN <= t` is false for every t, so NaN fails every split on
+        // the feature: it goes past the last threshold
+        if x.is_nan() {
+            self.thresholds.len()
+        } else {
+            self.thresholds.partition_point(|&t| t < x)
+        }
+    }
+}
+
+/// The fitted ensemble compiled for branch-free scoring (QuickScorer,
+/// Lucchese et al., SIGIR 2015).
+///
+/// Leaves are numbered left to right within each tree. For each
+/// (feature, bin) there is a row of per-tree masks that clear the
+/// left-subtree leaves of every split on that feature the bin fails. A
+/// row's exit leaf in tree `t` is the lowest set bit of the AND of its
+/// features' mask rows at `t`: the leftmost leaf no failed split rules
+/// out, which is exactly where the tree walk ends.
+#[derive(Clone, Debug, Default)]
+struct BitvectorScorer {
+    /// The features some split tests, in column order.
+    features: Vec<FeatureBins>,
+    /// `[mask row][tree]`, `n_trees` masks per row.
+    masks: Vec<u64>,
+    /// `learning_rate * value`, `leaf_stride` slots per tree.
+    leaf_values: Vec<f64>,
+    leaf_stride: usize,
+    n_trees: usize,
+    /// Nodes of the grown trees, the basis of `size_bytes`.
+    n_nodes: usize,
+}
+
+impl BitvectorScorer {
+    fn compile(trees: &[GbTree], learning_rate: f64) -> Self {
+        let n_trees = trees.len();
+        let leaf_stride = trees.iter().map(GbTree::n_leaves).max().unwrap_or(1);
+        let mut leaf_values = vec![0.0; n_trees * leaf_stride];
+        let mut splits = Vec::new();
+        for (t, tree) in trees.iter().enumerate() {
+            let values = &mut leaf_values[t * leaf_stride..(t + 1) * leaf_stride];
+            tree.number_leaves(0, t, learning_rate, &mut 0, values, &mut splits);
+        }
+
+        let n_columns = splits.iter().map(|s| s.feature + 1).max().unwrap_or(0);
+        let mut features = Vec::new();
+        let mut masks = Vec::new();
+        for feature in 0..n_columns {
+            let on_feature: Vec<&SplitMask> =
+                splits.iter().filter(|s| s.feature == feature).collect();
+            if on_feature.is_empty() {
+                continue;
+            }
+            let mut thresholds: Vec<f64> =
+                on_feature.iter().map(|s| s.threshold).filter(|t| !t.is_nan()).collect();
+            thresholds.sort_by(f64::total_cmp);
+            thresholds.dedup();
+            let first_row = masks.len() / n_trees;
+            masks.resize(masks.len() + (thresholds.len() + 1) * n_trees, u64::MAX);
+            for split in on_feature {
+                // the bins whose values fail `x <= threshold`
+                let first_failing = if split.threshold.is_nan() {
+                    0
+                } else {
+                    thresholds.partition_point(|&t| t < split.threshold) + 1
+                };
+                for bin in first_failing..=thresholds.len() {
+                    masks[(first_row + bin) * n_trees + split.tree] &= split.mask;
+                }
+            }
+            features.push(FeatureBins { feature, thresholds, first_row });
+        }
+        let n_nodes = trees.iter().map(|t| t.nodes.len()).sum();
+        Self { features, masks, leaf_values, leaf_stride, n_trees, n_nodes }
+    }
+
+    /// The scoring kernel: `base_score` plus every tree's scaled exit
+    /// leaf, added in tree order — the same f64 the tree walk sums.
+    fn raw_score(&self, base_score: f64, row: &[f64]) -> f64 {
+        let mut score = base_score;
+        let mut exits = [0u64; TREE_CHUNK];
+        for start in (0..self.n_trees).step_by(TREE_CHUNK) {
+            let exits = &mut exits[..TREE_CHUNK.min(self.n_trees - start)];
+            exits.fill(u64::MAX);
+            for f in &self.features {
+                let first = (f.first_row + f.bin(row[f.feature])) * self.n_trees + start;
+                for (exit, &mask) in exits.iter_mut().zip(&self.masks[first..]) {
+                    *exit &= mask;
+                }
+            }
+            for (tree, &exit) in (start..).zip(exits.iter()) {
+                score += self.leaf_values[tree * self.leaf_stride + exit.trailing_zeros() as usize];
+            }
+        }
+        score
     }
 }
 
@@ -107,11 +280,12 @@ struct GrowingLeaf {
 #[derive(Clone, Debug)]
 pub struct Gbdt {
     config: GbdtConfig,
-    trees: Vec<GbTree>,
     /// Per-feature ascending bin thresholds (upper edges).
     bin_edges: Vec<Vec<f64>>,
     base_score: f64,
     n_features: usize,
+    /// The fitted trees; `fit` grows them and keeps only this form.
+    scorer: BitvectorScorer,
     fitted: bool,
 }
 
@@ -133,10 +307,10 @@ impl Gbdt {
     pub fn with_config(config: GbdtConfig) -> Self {
         Self {
             config,
-            trees: Vec::new(),
             bin_edges: Vec::new(),
             base_score: 0.0,
             n_features: 0,
+            scorer: BitvectorScorer::default(),
             fitted: false,
         }
     }
@@ -144,7 +318,7 @@ impl Gbdt {
     /// Number of fitted trees.
     #[must_use]
     pub fn tree_count(&self) -> usize {
-        self.trees.len()
+        self.scorer.n_trees
     }
 
     fn compute_bin_edges(&mut self, data: &Dataset) -> Result<(), MlError> {
@@ -175,12 +349,16 @@ impl Gbdt {
         self.bin_edges[feature].partition_point(|&e| e < x)
     }
 
-    fn raw_score(&self, row: &[f64]) -> f64 {
-        let mut score = self.base_score;
-        for tree in &self.trees {
-            score += self.config.learning_rate * tree.predict(row);
+    /// Rejects a row or batch width other than the fitted one, or any
+    /// input before `fit`.
+    fn check_width(&self, width: usize) -> Result<(), MlError> {
+        if !self.fitted {
+            return Err(MlError::NotFitted);
         }
-        score
+        if width != self.n_features {
+            return Err(MlError::DimensionMismatch { expected: self.n_features, actual: width });
+        }
+        Ok(())
     }
 
     /// Finds the best split for one leaf via feature histograms.
@@ -245,19 +423,18 @@ impl Gbdt {
         let h: f64 = rows.iter().map(|&i| hess[i]).sum();
         -g / (h + self.config.lambda)
     }
-}
 
-impl Classifier for Gbdt {
-    fn name(&self) -> &'static str {
-        "LightGBM"
-    }
-
-    fn fit(&mut self, data: &Dataset, targets: &[f64]) -> Result<(), MlError> {
+    /// Boosts the trees `fit` compiles, setting the bin edges and base
+    /// score on the way.
+    fn grow(&mut self, data: &Dataset, targets: &[f64]) -> Result<Vec<GbTree>, MlError> {
         validate_training_set(data, targets)?;
         if self.config.n_iters == 0 || self.config.num_leaves < 2 || self.config.max_bins < 2 {
             return Err(MlError::InvalidHyperparameter(
                 "iterations, leaves and bins must allow at least one split",
             ));
+        }
+        if self.config.num_leaves > MAX_LEAVES {
+            return Err(MlError::InvalidHyperparameter("num_leaves must fit the 64-bit leaf mask"));
         }
         let n = data.len();
         self.n_features = data.n_features();
@@ -273,7 +450,7 @@ impl Classifier for Gbdt {
         let pos = targets.iter().sum::<f64>() / n as f64;
         self.base_score = (pos / (1.0 - pos)).ln();
         let mut raw: Vec<f64> = vec![self.base_score; n];
-        self.trees.clear();
+        let mut trees = Vec::with_capacity(self.config.n_iters);
 
         let mut grad = vec![0.0; n];
         let mut hess = vec![0.0; n];
@@ -332,30 +509,55 @@ impl Classifier for Gbdt {
                     raw[i] += self.config.learning_rate * value;
                 }
             }
-            self.trees.push(tree);
+            trees.push(tree);
         }
+        Ok(trees)
+    }
+}
+
+impl Classifier for Gbdt {
+    fn name(&self) -> &'static str {
+        "LightGBM"
+    }
+
+    fn fit(&mut self, data: &Dataset, targets: &[f64]) -> Result<(), MlError> {
+        let trees = self.grow(data, targets)?;
+        self.scorer = BitvectorScorer::compile(&trees, self.config.learning_rate);
         self.fitted = true;
         Ok(())
     }
 
     fn predict_proba_row(&self, row: &[f64]) -> Result<f64, MlError> {
-        if !self.fitted {
-            return Err(MlError::NotFitted);
+        self.check_width(row.len())?;
+        Ok(sigmoid(self.scorer.raw_score(self.base_score, row)))
+    }
+
+    fn predict_proba_into(
+        &self,
+        rows: &[f64],
+        width: usize,
+        _scratch: &mut PredictScratch,
+        out: &mut Vec<f64>,
+    ) -> Result<(), MlError> {
+        validate_batch_shape(rows, width)?;
+        out.clear();
+        // like the per-row default: an empty batch is fine even unfitted
+        if rows.is_empty() {
+            return Ok(());
         }
-        if row.len() != self.n_features {
-            return Err(MlError::DimensionMismatch {
-                expected: self.n_features,
-                actual: row.len(),
-            });
-        }
-        Ok(sigmoid(self.raw_score(row)))
+        self.check_width(width)?;
+        out.extend(
+            rows.chunks(width).map(|row| sigmoid(self.scorer.raw_score(self.base_score, row))),
+        );
+        Ok(())
     }
 
     fn size_bytes(&self) -> usize {
-        // ~32 bytes per node plus bin-edge tables
-        let nodes: usize = self.trees.iter().map(|t| t.nodes.len()).sum();
+        // ~32 bytes per grown node plus bin-edge tables: the footprint
+        // the constraint controller weighs, independent of how the
+        // fitted trees are stored
         let edges: usize = self.bin_edges.iter().map(Vec::len).sum();
-        nodes * 32 + edges * 8
+        self.scorer.n_nodes * 32 + edges * 8
     }
 }
 
@@ -405,10 +607,8 @@ mod tests {
     fn leaf_budget_bounds_tree_size() {
         let (d, t) = blobs(200, 4);
         let mut g = Gbdt::with_config(GbdtConfig { num_leaves: 4, ..GbdtConfig::default() });
-        g.fit(&d, &t).unwrap();
-        for tree in &g.trees {
-            let leaves =
-                tree.nodes.iter().filter(|n| matches!(n, GbNode::Leaf { .. })).count();
+        for tree in &g.grow(&d, &t).unwrap() {
+            let leaves = tree.n_leaves();
             assert!(leaves <= 4, "tree has {leaves} leaves");
         }
     }
@@ -446,5 +646,163 @@ mod tests {
         g.fit(&d, &t).unwrap();
         // balanced classes → prior logit ≈ 0
         assert!(g.base_score.abs() < 1e-9);
+    }
+
+    #[test]
+    fn rejects_more_leaves_than_the_mask_width() {
+        let (d, t) = blobs(40, 8);
+        let mut wide =
+            Gbdt::with_config(GbdtConfig { num_leaves: MAX_LEAVES + 1, ..GbdtConfig::default() });
+        assert!(matches!(wide.fit(&d, &t), Err(MlError::InvalidHyperparameter(_))));
+        let mut widest =
+            Gbdt::with_config(GbdtConfig { num_leaves: MAX_LEAVES, ..GbdtConfig::default() });
+        widest.fit(&d, &t).unwrap();
+    }
+
+    #[test]
+    fn size_bytes_counts_the_grown_nodes_and_edges() {
+        // the constraint controller's footprint input: pinned to the
+        // value the enum-tree representation reported for this fit
+        let (d, t) = blobs(200, 9);
+        let mut g = Gbdt::new();
+        g.fit(&d, &t).unwrap();
+        assert_eq!(g.size_bytes(), 31_920);
+        let mut small = Gbdt::with_config(GbdtConfig {
+            n_iters: 5,
+            num_leaves: 4,
+            max_bins: 8,
+            ..GbdtConfig::default()
+        });
+        small.fit(&d, &t).unwrap();
+        assert_eq!(small.size_bytes(), 1_232);
+    }
+
+    /// Three columns: a continuous one (quantile edges once it has more
+    /// distinct values than bins), a six-valued one (one edge between
+    /// each pair of values) and a signed one around ±0.0. With `wild`,
+    /// training rows also carry ±inf and NaN of either sign, so edges
+    /// can be infinite or NaN and a split can test a NaN threshold.
+    fn mixed(n: usize, seed: u64, wild: bool) -> (Dataset, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut d = Dataset::new(vec!["a".into(), "b".into(), "c".into()]).unwrap();
+        for i in 0..n {
+            let attack = rng.random_bool(0.5);
+            let shift = if attack { 0.6 } else { 0.0 };
+            let mut row = [
+                rng.random_range(-1.0..1.0) + shift,
+                f64::from(rng.random_range(0u8..6)),
+                if rng.random_bool(0.5) { -0.0 } else { rng.random_range(-1.0..1.0) - shift },
+            ];
+            if wild && i % 17 == 0 {
+                row = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+            }
+            if wild && i % 13 == 0 {
+                row[0] = -f64::NAN;
+            }
+            d.push(&row, if attack { Class::Malware } else { Class::Benign }).unwrap();
+        }
+        let t = d.binary_targets(Class::is_attack);
+        (d, t)
+    }
+
+    /// Scores probe rows with the fitted scorer, with the reference walk
+    /// over a deterministic regrowth of the same trees, and as one batch,
+    /// and requires all three to agree bit for bit.
+    fn assert_scorer_matches_walk(config: GbdtConfig, seed: u64, wild: bool) {
+        let (d, t) = mixed(150, seed, wild);
+        let mut g = Gbdt::with_config(config);
+        g.fit(&d, &t).unwrap();
+        let trees = Gbdt::with_config(config).grow(&d, &t).unwrap();
+        assert_eq!(g.tree_count(), trees.len());
+
+        // per feature: every bin edge, its neighbours, the training
+        // values, and values no training row had
+        let pools: Vec<Vec<f64>> = (0..d.n_features())
+            .map(|f| {
+                let mut pool = d.column(f).unwrap();
+                for &e in &g.bin_edges[f] {
+                    pool.extend([e, e.next_down(), e.next_up()]);
+                }
+                pool.extend([
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    0.0,
+                    -0.0,
+                    1e300,
+                    -1e300,
+                    f64::MIN_POSITIVE,
+                ]);
+                pool
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mut rows: Vec<f64> = Vec::new();
+        for _ in 0..200 {
+            rows.extend(pools.iter().map(|pool| pool[rng.random_range(0..pool.len())]));
+        }
+        for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0] {
+            rows.extend([special; 3]);
+        }
+
+        let width = d.n_features();
+        let mut batch = Vec::new();
+        g.predict_proba_into(&rows, width, &mut PredictScratch::default(), &mut batch).unwrap();
+        assert_eq!(batch.len(), rows.len() / width);
+        for (row, &batched) in rows.chunks(width).zip(&batch) {
+            let walked = sigmoid(
+                trees
+                    .iter()
+                    .fold(g.base_score, |s, tree| s + config.learning_rate * tree.predict(row)),
+            );
+            let scored = g.predict_proba_row(row).unwrap();
+            assert_eq!(scored.to_bits(), walked.to_bits(), "row {row:?}");
+            assert_eq!(batched.to_bits(), scored.to_bits(), "batched row {row:?}");
+        }
+    }
+
+    #[test]
+    fn bitvector_scorer_matches_the_tree_walk_at_the_corners() {
+        for num_leaves in [2, MAX_LEAVES] {
+            // past TREE_CHUNK the kernel scores the trees in two passes
+            for n_iters in [1, 6, TREE_CHUNK + 3] {
+                for max_bins in [2, 8, 64, 256] {
+                    let config = GbdtConfig {
+                        n_iters,
+                        num_leaves,
+                        max_bins,
+                        min_data_in_leaf: 1,
+                        ..GbdtConfig::default()
+                    };
+                    assert_scorer_matches_walk(config, 11, false);
+                    assert_scorer_matches_walk(config, 12, true);
+                }
+            }
+        }
+    }
+
+    hmd_util::prop_tests! {
+        cases = 16;
+
+        /// The bitvector scorer equals the tree walk bit for bit on any
+        /// configuration the mask width admits, and a batch equals its
+        /// rows scored one at a time.
+        fn bitvector_scorer_matches_the_tree_walk(
+            num_leaves in 2usize..=MAX_LEAVES,
+            n_iters in 1usize..10,
+            bins in 0usize..4,
+            min_data_in_leaf in 1usize..6,
+            seed in 0u64..1_000_000,
+            wild in 0u8..2,
+        ) {
+            let config = GbdtConfig {
+                n_iters,
+                num_leaves,
+                max_bins: [2, 8, 64, 256][bins],
+                min_data_in_leaf,
+                ..GbdtConfig::default()
+            };
+            assert_scorer_matches_walk(config, seed, wild == 1);
+        }
     }
 }

@@ -219,15 +219,19 @@ pub fn evaluate(
     Ok(BinaryMetrics::from_scores(&scores, &truth))
 }
 
-/// Measures mean single-row inference latency in milliseconds — the
+/// Measures median single-row inference latency in milliseconds — the
 /// latency axis of the constraint controller.
 ///
-/// Each call is timed on the telemetry clock and recorded into a local
-/// [`Histogram`], whose exact mean is the return value; the same
-/// observations also feed the shared `ml.latency_ns.<model>` registry
-/// histogram, so an `HMD_TRACE` export reports the very numbers the
-/// controller's [`crate::BinaryMetrics`]-adjacent `ModelProfile` saw —
-/// one measurement path, two consumers.
+/// Each call is timed on the telemetry clock; the exact median of those
+/// times is the return value. The median, not the mean: a quick run
+/// times a few dozen calls, and one preempted call would otherwise
+/// outweigh all the others, so the controller's latency ranking (and
+/// with it the routing) would follow the scheduler. The same
+/// observations feed a local [`Histogram`] (the quantile gauges) and
+/// the shared `ml.latency_ns.<model>` registry histogram, so an
+/// `HMD_TRACE` export reports the very numbers the controller's
+/// [`crate::BinaryMetrics`]-adjacent `ModelProfile` saw — one
+/// measurement path, two consumers.
 ///
 /// # Errors
 ///
@@ -246,6 +250,7 @@ pub fn measure_latency_ms(
     // warmup
     let _ = model.predict_proba_row(data.row(0)?)?;
     let local = Histogram::standalone();
+    let mut samples = Vec::with_capacity(data.len() * repeats);
     let shared = hmd_telemetry::enabled()
         .then(|| hmd_telemetry::metrics::histogram(&format!("ml.latency_ns.{}", model.name())));
     for _ in 0..repeats {
@@ -255,6 +260,7 @@ pub fn measure_latency_ms(
             let _ = model.predict_proba_row(row)?;
             let elapsed = clock::now_ns().saturating_sub(start);
             local.record(elapsed);
+            samples.push(elapsed);
             if let Some(shared) = shared {
                 shared.record(elapsed);
             }
@@ -269,7 +275,9 @@ pub fn measure_latency_ms(
                 .set(v / 1e6);
         }
     }
-    Ok(merged.mean() / 1e6)
+    samples.sort_unstable();
+    #[allow(clippy::cast_precision_loss)]
+    Ok(samples[samples.len() / 2] as f64 / 1e6)
 }
 
 #[cfg(test)]

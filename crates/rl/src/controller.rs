@@ -70,7 +70,7 @@ impl ConstraintKind {
 pub struct ModelProfile {
     /// Model name.
     pub name: String,
-    /// Mean single-sample inference latency in milliseconds.
+    /// Median single-sample inference latency in milliseconds.
     pub latency_ms: f64,
     /// Model size in bytes.
     pub size_bytes: usize,
@@ -141,8 +141,12 @@ impl ConstraintController {
         if targets.len() != data.len() {
             return Err(RlError::Mismatch("targets must align with data rows"));
         }
+        // Latencies span orders of magnitude (tens of ns for LR, µs for
+        // RF), so they are compared as ratios, on a log scale. On a
+        // linear one every sub-µs model sits near 0, and which of two
+        // such models wins turns on wall-clock noise between runs.
         let norm_latency = normalize(
-            &profiles.iter().map(|p| p.latency_ms).collect::<Vec<_>>(),
+            &profiles.iter().map(|p| (1.0 + p.latency_ms * 1e6).ln()).collect::<Vec<_>>(),
         );
         let norm_size = normalize(
             &profiles.iter().map(|p| p.size_bytes as f64).collect::<Vec<_>>(),

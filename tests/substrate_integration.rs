@@ -2,7 +2,7 @@
 //! integrity layer guarding fitted models.
 
 use hmd::integrity::{MetricMonitor, ModelRegistry};
-use hmd::ml::{evaluate, Classifier, Mlp, RandomForest};
+use hmd::ml::{all_models, evaluate, Classifier, MlError, Mlp, RandomForest};
 use hmd::sim::{build_corpus, CorpusConfig, HpcEvent, IsolationMode, WorkloadClass};
 use hmd::tabular::{rank_features_by_mi, split::stratified_split, Class, StandardScaler};
 use hmd_util::rng::prelude::*;
@@ -101,4 +101,51 @@ fn integrity_layer_guards_fitted_models() {
     assert!(monitor.assess("MLP", &baseline).is_stable());
     let degraded = hmd::ml::BinaryMetrics { accuracy: baseline.accuracy - 0.3, ..baseline };
     assert!(!monitor.assess("MLP", &degraded).is_stable());
+}
+
+#[test]
+fn every_model_scores_a_batch_exactly_as_its_rows() {
+    // The batch contract of the routed path (`predict_proba_into`,
+    // which serving calls once per batch) against per-row scoring, for
+    // every model in the zoo, bit for bit, plus its error cases.
+    let corpus = build_corpus(&CorpusConfig::quick(36));
+    let scaler = StandardScaler::fit(&corpus.dataset).unwrap();
+    let data = scaler.transform(&corpus.dataset).unwrap();
+    let targets = data.binary_targets(Class::is_attack);
+    let width = data.n_features();
+    let rows: Vec<f64> = (0..32).flat_map(|i| data.row(i * 3).unwrap().to_vec()).collect();
+    for mut model in all_models() {
+        let name = model.name();
+        let mut out = Vec::new();
+        let mut scratch = model.make_scratch(32);
+        assert_eq!(
+            model.predict_proba_into(&rows, width, &mut scratch, &mut out),
+            Err(MlError::NotFitted),
+            "{name} unfitted"
+        );
+
+        model.fit(&data, &targets).unwrap();
+        let mut scratch = model.make_scratch(32);
+        let per_row: Vec<f64> =
+            rows.chunks(width).map(|row| model.predict_proba_row(row).unwrap()).collect();
+        let bits = |ps: &[f64]| ps.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        for batch in [1, 7, 32] {
+            for (chunk, expected) in rows.chunks(batch * width).zip(per_row.chunks(batch)) {
+                model.predict_proba_into(chunk, width, &mut scratch, &mut out).unwrap();
+                assert_eq!(bits(&out), bits(expected), "{name} at batch {batch}");
+            }
+        }
+
+        let narrow = &rows[..2 * (width - 1)];
+        assert!(
+            matches!(
+                model.predict_proba_into(narrow, width - 1, &mut scratch, &mut out),
+                Err(MlError::DimensionMismatch { .. })
+            ),
+            "{name} wrong width"
+        );
+        out.push(f64::NAN);
+        model.predict_proba_into(&[], width, &mut scratch, &mut out).unwrap();
+        assert!(out.is_empty(), "{name} empty batch");
+    }
 }
